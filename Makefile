@@ -50,13 +50,17 @@ check-load:
 	$(GO) test -race -count=1 ./internal/loadgen/... ./internal/stats/...
 	$(GO) run ./cmd/lapbench -exp load -load-rates 200,400 -load-dur 1s
 
-# The wire hot path under the race detector: vectored-write and
-# frame-batch framing/reuse, the coalescing latch against a pipelined
-# burst (on and off), the sharded accept path under concurrent
-# connections, and the torn-vectored-write fault — then a short
+# The wire hot path under the race detector, three times over:
+# vectored-write and frame-batch framing/reuse, the coalescing latch
+# against warm and cold pipelined bursts (on and off), the sharded
+# accept path under concurrent connections, the torn-vectored-write
+# fault, out-of-order responses for requests that block (hits never
+# wait behind a miss, every seq answered once, the per-connection
+# in-flight bound, the drain on Close), and the 3-node R=2 cluster
+# that must not wedge with unbounded peer calls — then a short
 # lapbench smoke of the real -exp hotpath cells.
 check-hotpath:
-	$(GO) test -race -count=1 -run TestHotpath ./internal/wire/ ./internal/lapcache/
+	$(GO) test -race -count=3 -run 'TestHotpath|TestClusterNestedRPC' ./internal/wire/ ./internal/lapcache/ ./internal/cluster/
 	$(GO) run ./cmd/lapbench -exp hotpath -hotpath-conns 1,16 -hotpath-dur 500ms
 
 # The cross-predictor invariant suite under the race detector — every

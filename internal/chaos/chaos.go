@@ -373,7 +373,7 @@ func Run(cfg Config) (Result, error) {
 				ncfg.HandoffBps = churnHandoffBps
 				// Healthy calls here are sub-millisecond and injected
 				// delays single-digit ms; one second of silence means a
-				// handler wait cycle, which the timeout severs.
+				// wedged peer, which the timeout severs.
 				ncfg.PeerCallTimeout = time.Second
 				ncfg.GossipIntercept = func(to string) error {
 					for j, a := range peers {

@@ -72,14 +72,14 @@ type Config struct {
 	// datagram. The fault harness scripts partitions through it.
 	GossipIntercept func(to string) error
 	// PeerCallTimeout bounds every synchronous RPC to a peer
-	// (0 = DefaultPeerCallTimeout, < 0 = unbounded). Server handlers
-	// issue nested peer RPCs — forwarding a client write to the owner,
-	// pushing the owner's R=2 copy to its successor — and
-	// per-connection request handling is sequential, so an unbounded
-	// wait lets a cycle of handlers deadlock across nodes while rings
-	// transiently disagree. On expiry the connection is severed and the
-	// call fails like any transport error: the peer degrades to local
-	// service and the health loop redials.
+	// (0 = DefaultPeerCallTimeout, < 0 = unbounded). It guards against
+	// a wedged peer — a hung store, a half-open connection — not
+	// against handlers waiting on each other: servers run nested peer
+	// RPCs (forwarding a client write to the owner, pushing the owner's
+	// R=2 copy to its successor) off the connection's read loop, so no
+	// cycle of such waits forms. On expiry the connection is severed
+	// and the call fails like any transport error: the peer degrades to
+	// local service and the health loop redials.
 	PeerCallTimeout time.Duration
 	// DialFunc overrides how peer pools are dialed (nil =
 	// lapclient.DialPool). The fault-injection harness uses it to

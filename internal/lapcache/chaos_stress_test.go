@@ -85,15 +85,13 @@ func TestEngineChaosStoreFaults(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Let in-flight prefetches settle before auditing the pool.
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		s := e.Snapshot()
-		if s.PrefetchCompleted+s.PrefetchCancelled+s.PrefetchDupSkipped >= s.PrefetchIssued {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
+	// Stop the prefetch workers before auditing the pool. Counters
+	// cannot tell when prefetching has settled: a worker books
+	// PrefetchCompleted before its completion callback pumps the
+	// chain's next prefetch, which can still land in the cache after
+	// the drain. Shutdown waits for every in-progress prefetch and
+	// abandons the queued ones, which hold no buffer yet.
+	e.Shutdown()
 
 	if inj.Total() == 0 {
 		t.Fatal("the plan injected nothing; the test exercised no fault paths")

@@ -391,29 +391,86 @@ func (e *Engine) ReadInto(bufs []*blockbuf.Buf, f blockdev.FileID, off blockdev.
 // (offset, size) requests, which is exactly what lets it model the
 // cluster-wide access stream and run the one true prefetch chain.
 func (e *Engine) PeerReadInto(bufs []*blockbuf.Buf, f blockdev.FileID, off blockdev.BlockNo, nblocks int32) ([]*blockbuf.Buf, bool, error) {
-	e.m.peerReads.Add(1)
 	return e.readSpan(bufs, f, off, nblocks, true)
 }
 
-// readSpan is the shared demand-read body: route to the owner when the
-// file is remote (unless localOnly pins service here), then feed the
-// request to the file's driver.
-func (e *Engine) readSpan(bufs []*blockbuf.Buf, f blockdev.FileID, off blockdev.BlockNo, nblocks int32, localOnly bool) ([]*blockbuf.Buf, bool, error) {
+// readSpan is the shared demand-read body: the no-wait resident
+// prefix, then the blocking rest.
+func (e *Engine) readSpan(bufs []*blockbuf.Buf, f blockdev.FileID, off blockdev.BlockNo, nblocks int32, peer bool) ([]*blockbuf.Buf, bool, error) {
+	base := len(bufs)
+	bufs, done, err := e.ReadCached(bufs, f, off, nblocks, peer)
+	if done || err != nil {
+		return bufs, done, err
+	}
+	return e.ReadRest(bufs, base, f, off, nblocks, peer)
+}
+
+// ReadCached is the no-wait half of a demand read (PeerReadInto when
+// peer is set, ReadInto otherwise): one cache lookup per block, in
+// order, appending a retained buffer for each resident block and
+// stopping at the first one that is not. done reports that the whole
+// span was resident: the read is then complete — a hit, counted and
+// fed to the driver exactly as ReadInto would — and never waited on
+// anything. Otherwise the read would block: the caller owns the
+// appended resident prefix and must finish the read with ReadRest.
+// Nothing has been booked for the blocks past the prefix and the
+// driver has not seen the request, so a miss on the first block is
+// free of side effects. The only error is an invalid span.
+func (e *Engine) ReadCached(bufs []*blockbuf.Buf, f blockdev.FileID, off blockdev.BlockNo, nblocks int32, peer bool) (_ []*blockbuf.Buf, done bool, err error) {
 	if nblocks <= 0 || off < 0 {
 		return bufs, false, fmt.Errorf("lapcache: invalid read %d:[%d,+%d]", f, off, nblocks)
 	}
+	for i := int32(0); i < nblocks; i++ {
+		buf, wasPrefetched, ok := e.cache.Get(blockdev.BlockID{File: f, Block: off + blockdev.BlockNo(i)})
+		if !ok {
+			return bufs, false, nil
+		}
+		// A first touch of a speculative block that was already resident
+		// is a timely prefetch.
+		if wasPrefetched {
+			e.m.prefetchTimely.Add(1)
+			if e.adaptive {
+				e.fileState(f).degree.OnTimely()
+			}
+		}
+		e.m.demandHits.Add(1)
+		bufs = append(bufs, buf)
+	}
+	if peer {
+		e.m.peerReads.Add(1)
+	}
+	e.feedDriver(f, core.Request{Offset: off, Size: nblocks}, true)
+	return bufs, true, nil
+}
+
+// ReadRest finishes a read ReadCached could not complete: bufs[base:]
+// is the resident prefix ReadCached appended for the same span. It
+// fetches the rest — routed to the ring owner when the file is remote
+// and peer is unset, from the local store otherwise — and feeds the
+// whole request to the file's driver. It may block on the store or a
+// peer RPC. Results are ReadInto's; on error every buffer from base
+// on, the prefix included, is released.
+func (e *Engine) ReadRest(bufs []*blockbuf.Buf, base int, f blockdev.FileID, off blockdev.BlockNo, nblocks int32, peer bool) ([]*blockbuf.Buf, bool, error) {
+	if peer {
+		e.m.peerReads.Add(1)
+	}
+	got := int32(len(bufs) - base)
 	var (
 		hit bool
 		err error
 	)
-	if e.remote != nil && !localOnly && !e.remote.Owned(f) {
-		bufs, hit, err = e.readSpanRemote(bufs, f, off, nblocks)
+	if !peer && !e.Owns(f) {
+		bufs, hit, err = e.readSpanRemote(bufs, f, off+blockdev.BlockNo(got), nblocks-got)
 	} else {
-		bufs, hit, err = e.readSpanLocal(bufs, f, off, nblocks)
+		bufs, hit, err = e.readSpanLocal(bufs, f, off+blockdev.BlockNo(got), nblocks-got)
 	}
 	if err != nil {
-		return bufs, false, err
+		for _, held := range bufs[base:] {
+			held.Release()
+		}
+		return bufs[:base], false, err
 	}
+	// The prefix was all hits, so the span's hit is the rest's.
 	e.feedDriver(f, core.Request{Offset: off, Size: nblocks}, hit)
 	return bufs, hit, nil
 }
@@ -744,7 +801,7 @@ func (e *Engine) WriteDurable(f blockdev.FileID, off blockdev.BlockNo, nblocks i
 	if err := e.checkWrite(f, off, nblocks, data); err != nil {
 		return false, err
 	}
-	if e.remote != nil && !e.remote.Owned(f) {
+	if !e.Owns(f) {
 		ok, replicated, err := e.remote.ForwardWrite(f, off, nblocks, data)
 		if ok {
 			if err != nil {
@@ -894,12 +951,17 @@ func (e *Engine) installSpan(f blockdev.FileID, off blockdev.BlockNo, nblocks in
 // owner — the only node with a chain to park — best-effort: a dead
 // owner has nothing running for the file anyway.
 func (e *Engine) CloseFile(f blockdev.FileID) {
-	if e.remote != nil && !e.remote.Owned(f) {
+	if !e.Owns(f) {
 		e.remote.ForwardClose(f) //nolint:errcheck // best-effort
 		return
 	}
 	e.closeLocal(f)
 }
+
+// Owns reports whether this node serves f itself: always on a single
+// node, and on a cluster node while the ring assigns f here. Reads,
+// writes and closes of a file it does not own go to the owner.
+func (e *Engine) Owns(f blockdev.FileID) bool { return e.remote == nil || e.remote.Owned(f) }
 
 // PeerCloseFile is CloseFile for a peer-forwarded close: strictly
 // local, never re-forwarded.

@@ -12,22 +12,24 @@ import (
 
 // gateStore wraps a BackingStore and blocks reads of blocks at or
 // beyond gateFrom until released, signalling each blocked entry. It
-// lets tests freeze prefetch traffic at a known point.
+// lets tests freeze prefetch traffic at a known point. It also counts
+// the reads waiting at the gate and their high-water.
 type gateStore struct {
 	inner    BackingStore
 	gateFrom blockdev.BlockNo
 	started  chan blockdev.BlockID
 
-	mu       sync.Mutex
-	released bool
-	release  chan struct{}
+	mu            sync.Mutex
+	released      bool
+	release       chan struct{}
+	waiting, peak int
 }
 
 func newGateStore(inner BackingStore, gateFrom blockdev.BlockNo) *gateStore {
 	return &gateStore{
 		inner:    inner,
 		gateFrom: gateFrom,
-		started:  make(chan blockdev.BlockID, 64),
+		started:  make(chan blockdev.BlockID, 1024),
 		release:  make(chan struct{}),
 	}
 }
@@ -43,13 +45,39 @@ func (g *gateStore) Release() {
 
 func (g *gateStore) ReadBlock(b blockdev.BlockID, buf []byte) error {
 	if b.Block >= g.gateFrom {
+		g.mu.Lock()
+		g.waiting++
+		g.peak = max(g.peak, g.waiting)
+		g.mu.Unlock()
 		select {
 		case g.started <- b:
 		default:
 		}
 		<-g.release
+		g.mu.Lock()
+		g.waiting--
+		g.mu.Unlock()
 	}
 	return g.inner.ReadBlock(b, buf)
+}
+
+// await blocks until n more gated reads have started.
+func (g *gateStore) await(t *testing.T, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		select {
+		case <-g.started:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("only %d of %d store reads reached the gate", i, n)
+		}
+	}
+}
+
+// counts returns the reads waiting at the gate and their high-water.
+func (g *gateStore) counts() (waiting, peak int) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.waiting, g.peak
 }
 
 func (g *gateStore) WriteBlock(b blockdev.BlockID, data []byte) error {
@@ -107,6 +135,65 @@ func TestDemandMissThenHit(t *testing.T) {
 	snap := e.Snapshot()
 	if snap.DemandHits != 1 || snap.DemandMisses != 1 || snap.StoreReads != 1 {
 		t.Errorf("counters: %+v", snap)
+	}
+}
+
+// TestReadCachedHalves pins the split the server's read loop relies
+// on. ReadCached on a span with a missing block books nothing past the
+// resident prefix and does not feed the driver; a miss on the first
+// block leaves no trace at all. ReadCached followed by ReadRest leaves
+// exactly the counters and driver state ReadInto leaves.
+func TestReadCachedHalves(t *testing.T) {
+	counters := func(e *Engine) [5]uint64 {
+		s := e.Snapshot()
+		return [5]uint64{s.DemandHits, s.DemandMisses, s.StoreReads, s.PrefetchIssued, s.PrefetchTimely}
+	}
+	engines := [2]*Engine{}
+	for i := range engines {
+		// Prefetches (of block 2 on) park in the store, so the counters
+		// are settled whenever a read returns.
+		gate := newGateStore(NewMemStore(512, 0), 2)
+		engines[i] = newTestEngine(t, Config{Alg: core.SpecLnAgrOBA, Store: gate})
+		t.Cleanup(gate.Release)
+		engines[i].Preload(4, 0, 1, true)
+	}
+	split, whole := engines[0], engines[1]
+
+	bufs, done, err := split.ReadCached(nil, 4, 1, 1, false)
+	if err != nil || done || len(bufs) != 0 {
+		t.Fatalf("cold ReadCached: done=%v bufs=%d err=%v, want would-block", done, len(bufs), err)
+	}
+	if got := counters(split); got != ([5]uint64{}) {
+		t.Fatalf("a cold ReadCached booked %v, want nothing", got)
+	}
+
+	bufs, done, err = split.ReadCached(nil, 4, 0, 2, false)
+	if err != nil || done || len(bufs) != 1 {
+		t.Fatalf("ReadCached: done=%v bufs=%d err=%v, want the one-block resident prefix", done, len(bufs), err)
+	}
+	if got := counters(split); got != [5]uint64{1, 0, 0, 0, 1} {
+		t.Fatalf("after the resident prefix: counters %v, want one timely hit and no driver feed", got)
+	}
+	bufs, hit, err := split.ReadRest(bufs, 0, 4, 0, 2, false)
+	if err != nil || hit || len(bufs) != 2 {
+		t.Fatalf("ReadRest: hit=%v bufs=%d err=%v", hit, len(bufs), err)
+	}
+	for _, b := range bufs {
+		b.Release()
+	}
+
+	wbufs, whit, err := whole.ReadInto(nil, 4, 0, 2)
+	if err != nil || whit {
+		t.Fatalf("ReadInto: hit=%v err=%v", whit, err)
+	}
+	for _, b := range wbufs {
+		b.Release()
+	}
+	if a, b := counters(split), counters(whole); a != b {
+		t.Fatalf("ReadCached+ReadRest counters %v, ReadInto counters %v", a, b)
+	}
+	if a, b := split.Ledger().FileHighWater(4), whole.Ledger().FileHighWater(4); a != b || a != 1 {
+		t.Fatalf("driver fed differently: high-water %d split, %d whole", a, b)
 	}
 }
 

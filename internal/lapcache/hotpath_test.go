@@ -50,36 +50,23 @@ func upgradeBinary(t *testing.T, addr string) (net.Conn, *bufio.Reader) {
 // OK with exactly nblocks of correctly patterned payload for (f, off).
 func readBlockFrame(t *testing.T, br *bufio.Reader, blockSize int, seq uint32, f blockdev.FileID, off blockdev.BlockNo, nblocks int) {
 	t.Helper()
-	var scratch [wire.HeaderSize]byte
-	h, err := wire.ReadHeader(br, scratch[:])
-	if err != nil {
-		t.Fatalf("seq %d: read header: %v", seq, err)
-	}
+	h, payload := readFrame(t, br)
 	if h.Seq != seq || h.Flags&wire.FlagOK == 0 {
 		t.Fatalf("seq %d: response header = %+v", seq, h)
 	}
-	payload, err := wire.ReadPayload(br, h, nil)
-	if err != nil {
-		t.Fatalf("seq %d: read payload: %v", seq, err)
-	}
-	if len(payload) != nblocks*blockSize {
-		t.Fatalf("seq %d: payload %d bytes, want %d", seq, len(payload), nblocks*blockSize)
-	}
-	want := make([]byte, blockSize)
-	for i := 0; i < nblocks; i++ {
-		FillPattern(blockdev.BlockID{File: f, Block: off + blockdev.BlockNo(i)}, want)
-		if !bytes.Equal(payload[i*blockSize:(i+1)*blockSize], want) {
-			t.Fatalf("seq %d: block %d corrupted", seq, i)
-		}
+	if !patterned(payload, blockSize, f, off, nblocks) {
+		t.Fatalf("seq %d: payload of %d bytes is not %d patterned blocks", seq, len(payload), nblocks)
 	}
 }
 
-// TestHotpathCoalescedPipeline sends a burst of pipelined reads in a
-// single TCP segment — the shape that makes the server's
-// drain-the-ready-queue latch hold responses and flush them as one
-// vectored write — and checks every response comes back in order,
-// framed, and bit-exact. The same burst runs against a NoCoalesce
-// server, pinning that the latch changes syscall count, never bytes.
+// TestHotpathCoalescedPipeline sends a burst of pipelined reads of
+// preloaded blocks in a single TCP segment — the shape that makes the
+// server's drain-the-ready-queue latch hold responses and flush them
+// as one vectored write — and checks every response comes back in
+// order, framed, and bit-exact: cache hits are answered inline on the
+// read loop, so a warm burst keeps its order. The same burst runs
+// against a NoCoalesce server, pinning that the latch changes syscall
+// count, never bytes. TestHotpathColdBurst is the cold counterpart.
 func TestHotpathCoalescedPipeline(t *testing.T) {
 	const (
 		blockSize = 512
@@ -90,9 +77,10 @@ func TestHotpathCoalescedPipeline(t *testing.T) {
 		noCoalesce bool
 	}{{"coalesce", false}, {"nocoalesce", true}} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, addr := startTestServer(t, Config{
+			srv, addr := startTestServer(t, Config{
 				Alg: core.SpecNP, BlockSize: blockSize, CacheBlocks: 4 * burst,
 			}, func(s *Server) { s.NoCoalesce = tc.noCoalesce })
+			srv.e.Preload(9, 0, burst, false)
 			conn, br := upgradeBinary(t, addr)
 
 			// Build the whole burst and write it in one call, so the

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/blockbuf"
@@ -26,6 +27,16 @@ import (
 // whose read path streams raw block payloads straight from the
 // cache's refcounted buffers — no base64, no copy. Plain JSON stays
 // fully supported for old clients and debugging (lapget -json).
+//
+// Ordering on a binary connection: a request is ordered after every
+// request whose response the client has already received. Requests
+// pipelined on one connection are not ordered among themselves —
+// exactly as requests on different connections never were — and
+// their responses may arrive in any order, matched by Seq. Cache hits
+// are answered inline and in order; a request that can block (a read
+// with an uncached block, a write, a close forwarded to the owner)
+// runs on a worker and answers when it finishes. A client that needs
+// one request to see another's effect waits for the first response.
 
 // WireRequest is one client request (JSON protocol).
 type WireRequest struct {
@@ -338,9 +349,10 @@ func (s *Server) Close() {
 	for _, sh := range shards {
 		sh.mu.Lock()
 		for c := range sh.conns {
-			// Unblock handlers parked in a read between requests; a
-			// handler mid-dispatch is not reading and finishes its
-			// response first (the drain), bounded by the write deadline.
+			// Unblock read loops parked between requests; requests
+			// already dispatched — inline or on a worker — still finish
+			// and flush their responses (the drain), bounded by the write
+			// deadline.
 			c.SetReadDeadline(now)
 			c.SetWriteDeadline(now.Add(grace))
 		}
@@ -413,51 +425,117 @@ func (s *Server) readReason(err error, midFrame bool) CloseReason {
 
 // connHandler runs one connection's request loop, starting in JSON
 // and optionally upgrading to binary frames. bw serves only the JSON
-// protocol; after the binary upgrade, responses go through batch —
-// vectored writes straight to conn, no bufio staging copy.
+// protocol; after the binary upgrade, responses go through frameSinks
+// — vectored writes straight to conn, no bufio staging copy.
 type connHandler struct {
 	s    *Server
 	conn net.Conn
 	br   *bufio.Reader
 	bw   *bufio.Writer
 
-	// batch gathers binary response frames for one writev; release
-	// holds the refcounted cache buffers whose bytes the batch
-	// references, released only after the syscall returns (or the
-	// batch is dropped on a dying connection).
+	// out gathers the responses the read loop answers inline.
+	out frameSink
+
+	// wmu serializes response writes from the read loop and the
+	// workers; broken (set under wmu) marks a failed write, after which
+	// every later response is dropped — the stream is torn — and the
+	// read loop stops.
+	wmu    sync.Mutex
+	broken atomic.Bool
+
+	// Blocking requests run on workers (see serveBinary). Each job
+	// record pairs with one worker goroutine, both created on demand up
+	// to MaxConnInflight: work carries records to idle workers and free
+	// returns finished ones to the read loop.
+	work    chan *job
+	free    chan *job
+	njobs   int // records created; read loop only
+	workers sync.WaitGroup
+}
+
+// frameSink gathers binary response frames for one vectored write.
+// release holds the refcounted cache buffers whose bytes the batch
+// references, released only after the syscall returns (or the batch
+// is dropped on a dying connection).
+type frameSink struct {
 	batch   wire.FrameBatch
 	release []*blockbuf.Buf
 }
 
 // queueError stages an error frame for hd's request.
-func (h *connHandler) queueError(hd wire.Header, msg string) {
+func (fs *frameSink) queueError(hd wire.Header, msg string) {
 	// AppendFrame only fails past MaxPayload; error messages are
 	// always far below it.
-	h.batch.AppendFrame(wire.Header{Op: hd.Op, Seq: hd.Seq}, []byte(msg)) //nolint:errcheck
+	fs.batch.AppendFrame(wire.Header{Op: hd.Op, Seq: hd.Seq}, []byte(msg)) //nolint:errcheck
 }
 
-// flushBatch writes the queued responses with one vectored write and
+// queueRead stages a successful read's response. With want set, each
+// block's payload goes out straight from its cache buffer, whose
+// reference moves to release until the flush syscall returns;
+// otherwise the references are dropped at once.
+func (fs *frameSink) queueRead(hd wire.Header, hit, want bool, total int64, bufs []*blockbuf.Buf) {
+	flags := wire.FlagOK
+	if hit {
+		flags |= wire.FlagHit
+	}
+	out := wire.Header{Op: hd.Op, Flags: flags, Seq: hd.Seq}
+	if want {
+		out.PayloadLen = uint32(total)
+	}
+	fs.batch.AppendHeader(out)
+	for _, buf := range bufs {
+		if want {
+			fs.batch.AppendPayload(buf.Bytes())
+			fs.release = append(fs.release, buf)
+		} else {
+			buf.Release()
+		}
+	}
+}
+
+// flush writes the queued responses with one vectored write and
 // releases the cache buffers they referenced — after the syscall, per
 // the net.Buffers ownership rule (DESIGN.md §13).
-func (h *connHandler) flushBatch() error {
-	err := h.batch.Flush(h.conn)
-	for i, b := range h.release {
-		b.Release()
-		h.release[i] = nil
-	}
-	h.release = h.release[:0]
+func (fs *frameSink) flush(w io.Writer) error {
+	err := fs.batch.Flush(w)
+	fs.releaseAll()
 	return err
 }
 
-// dropBatch abandons queued responses on a dying connection, still
-// releasing their buffers.
-func (h *connHandler) dropBatch() {
-	h.batch.Reset()
-	for i, b := range h.release {
+// drop abandons the queued responses, still releasing their buffers.
+func (fs *frameSink) drop() {
+	fs.batch.Reset()
+	fs.releaseAll()
+}
+
+func (fs *frameSink) releaseAll() {
+	for i, b := range fs.release {
 		b.Release()
-		h.release[i] = nil
+		fs.release[i] = nil
 	}
-	h.release = h.release[:0]
+	fs.release = fs.release[:0]
+}
+
+// send flushes fs to the connection under the write lock, or drops it
+// if an earlier write already tore the stream. A failed write marks
+// the connection broken and closes it, which also ends the read loop.
+// It reports whether the connection is still writable.
+func (h *connHandler) send(fs *frameSink) bool {
+	h.wmu.Lock()
+	defer h.wmu.Unlock()
+	if h.broken.Load() {
+		fs.drop()
+		return false
+	}
+	if fs.batch.Len() == 0 {
+		return true
+	}
+	if err := fs.flush(h.conn); err != nil {
+		h.broken.Store(true)
+		h.conn.Close()
+		return false
+	}
+	return true
 }
 
 // nextRequestBuffered reports whether a COMPLETE next request —
@@ -537,69 +615,174 @@ func (h *connHandler) serveJSON() CloseReason {
 // iovec list small.
 const maxCoalesce = 64
 
-// serveBinary is the framed loop after an upgrade. Read responses
-// stream block payloads directly from the cache's refcounted buffers
-// onto the socket with vectored writes — no base64, no staging copy —
-// and responses to pipelined requests coalesce into a single writev:
-// the batch flushes exactly when no complete next request is already
-// buffered (see nextRequestBuffered), so a lone request's latency
-// never waits on a latch.
+// MaxConnInflight bounds the blocking requests one binary connection
+// may have in flight on the server. At the bound the read loop stops
+// reading until one finishes: that is the connection's backpressure.
+// lapclient.DefaultWindow is this value, so a client within its
+// default window never meets the bound.
+const MaxConnInflight = 32
+
+// job is one blocking request handed from the read loop to a worker,
+// with the reusable state to serve it: the write payload, the read's
+// gathered buffers and the response frames.
+type job struct {
+	hd      wire.Header
+	payload []byte
+	bufs    []*blockbuf.Buf
+	out     frameSink
+}
+
+// serveBinary is the framed loop after an upgrade. Requests that can
+// be answered without blocking — cache hits, ping, owner, stats, local
+// closes, errors — are answered inline on the read loop, in order:
+// read responses stream block payloads directly from the cache's
+// refcounted buffers onto the socket with vectored writes — no base64,
+// no staging copy — and responses to pipelined requests coalesce into
+// a single writev: the batch flushes exactly when no complete next
+// request is already buffered (see nextRequestBuffered), so a lone
+// request's latency never waits on a latch.
+//
+// Every request that can block — a read with an uncached block, any
+// write, a close forwarded to the owner — goes to a worker, up to
+// MaxConnInflight at once, and its response goes out whenever it is
+// ready: responses on one connection may leave in any order, matched
+// by Seq. One slow store miss or nested peer RPC therefore never holds
+// up the requests queued behind it on the connection, and handlers
+// waiting on each other's peer RPCs cannot form a cycle.
+//
+// The loop returns only after every handed-off request has flushed its
+// response or dropped it with its buffers released.
 func (h *connHandler) serveBinary() CloseReason {
 	s := h.s
 	var (
 		scratch [wire.HeaderSize]byte
 		payload []byte          // reused for write payloads
 		bufs    []*blockbuf.Buf // reused for read responses
+		reason  CloseReason
 	)
-	for {
+	for !h.broken.Load() {
 		s.armRead(h.conn)
 		// Read the header bytes directly (not wire.ReadHeader) so a
 		// death after SOME header bytes — a truncated frame — is
 		// distinguishable from a death at the frame boundary.
 		n, err := io.ReadFull(h.br, scratch[:])
 		if err != nil {
-			h.dropBatch()
-			return s.readReason(err, n > 0)
+			reason = s.readReason(err, n > 0)
+			if reason == CloseIdle && len(h.free) < h.njobs {
+				// A connection waiting on its own handed-off requests is
+				// not idle.
+				continue
+			}
+			break
 		}
 		hd, err := wire.ParseHeader(scratch[:])
 		if err != nil {
-			h.dropBatch()
-			return CloseProtocol
+			reason = CloseProtocol
+			break
 		}
 		if payload, err = wire.ReadPayload(h.br, hd, payload); err != nil {
 			// The header arrived but its payload did not: mid-frame by
 			// definition, whatever the underlying error.
-			h.dropBatch()
-			return CloseMidFrame
+			reason = CloseMidFrame
+			break
 		}
 		// Version-skew guard: a structurally sound frame whose op or
 		// flags this build does not define gets an error frame, not a
 		// dropped connection — the payload has already been consumed, so
 		// the stream stays framed and the client can fall back.
 		if !hd.Op.Known() || !hd.Flags.Known() {
-			h.queueError(hd, fmt.Sprintf("unsupported op %s flags %#x", hd.Op, uint8(hd.Flags)))
+			h.out.queueError(hd, fmt.Sprintf("unsupported op %s flags %#x", hd.Op, uint8(hd.Flags)))
 		} else {
-			h.dispatchBinary(hd, payload, &bufs)
+			h.dispatchBinary(hd, &payload, &bufs)
 		}
-		if s.NoCoalesce || h.batch.Len() >= maxCoalesce || !h.nextRequestBuffered() {
-			if err := h.flushBatch(); err != nil {
-				return CloseWrite
+		if s.NoCoalesce || h.out.batch.Len() >= maxCoalesce || !h.nextRequestBuffered() {
+			if !h.send(&h.out) {
+				reason = CloseWrite
+				break
 			}
 		}
 		if s.isClosing() {
-			if err := h.flushBatch(); err != nil {
-				return CloseWrite
-			}
-			return CloseShutdown
+			h.send(&h.out)
+			reason = CloseShutdown
+			break
 		}
+	}
+	h.out.drop()
+	if h.work != nil {
+		// The workers drain every handed-off request before they exit.
+		close(h.work)
+	}
+	h.workers.Wait()
+	if h.broken.Load() {
+		return CloseWrite
+	}
+	return reason
+}
+
+// takeJob returns a job record for a request about to be handed off:
+// a free one, or a new one with its own worker while fewer than
+// MaxConnInflight exist. At the bound the read loop first flushes the
+// responses it already holds, then waits for a request to finish.
+func (h *connHandler) takeJob() *job {
+	select {
+	case j := <-h.free:
+		return j
+	default:
+	}
+	if h.njobs < MaxConnInflight {
+		if h.work == nil {
+			h.work = make(chan *job, MaxConnInflight)
+			h.free = make(chan *job, MaxConnInflight)
+		}
+		h.njobs++
+		h.workers.Add(1)
+		go h.worker()
+		return new(job)
+	}
+	h.send(&h.out)
+	return <-h.free
+}
+
+// handoff passes hd's request, filled into j, to a worker.
+func (h *connHandler) handoff(j *job, hd wire.Header) {
+	j.hd = hd
+	h.work <- j
+}
+
+// worker serves handed-off requests until the connection ends. Its
+// response goes out on its own, under the write lock, as soon as it
+// is ready.
+func (h *connHandler) worker() {
+	defer h.workers.Done()
+	for j := range h.work {
+		if h.broken.Load() {
+			// Nobody can read the response: skip the work. The client
+			// never saw an acknowledgement, so nothing is lost.
+			for _, b := range j.bufs {
+				b.Release()
+			}
+			j.bufs = j.bufs[:0]
+		} else {
+			h.serveBlocking(j)
+			h.send(&j.out)
+		}
+		h.free <- j
 	}
 }
 
-// dispatchBinary handles one known binary request, staging its
-// response into the batch. bufs is the caller's reusable gather slice
-// for read responses; buffers queued for the wire move to h.release
-// and are released after the flush syscall.
-func (h *connHandler) dispatchBinary(hd wire.Header, payload []byte, bufs *[]*blockbuf.Buf) {
+// readShape reports whether a read wants its data back and how many
+// bytes that is.
+func (s *Server) readShape(hd wire.Header) (want bool, total int64) {
+	return hd.Flags&wire.FlagWantData != 0, int64(hd.Size) * int64(s.e.BlockSize())
+}
+
+// dispatchBinary handles one known binary request on the read loop:
+// it answers into h.out whatever it can without blocking and hands
+// the rest to a worker. bufs is the loop's reusable gather slice for
+// read responses; buffers queued for the wire move to h.out.release
+// and are released after the flush syscall. A handed-off write takes
+// *payload with it and leaves the loop a spare buffer.
+func (h *connHandler) dispatchBinary(hd wire.Header, payload *[]byte, bufs *[]*blockbuf.Buf) {
 	s := h.s
 	peer := hd.Flags&wire.FlagPeer != 0
 	switch hd.Op {
@@ -613,72 +796,101 @@ func (h *connHandler) dispatchBinary(hd wire.Header, payload []byte, bufs *[]*bl
 		}
 		doc, err := json.Marshal(pp)
 		if err != nil {
-			h.queueError(hd, "encode ping: "+err.Error())
+			h.out.queueError(hd, "encode ping: "+err.Error())
 			return
 		}
-		h.batch.AppendFrame(wire.Header{Op: hd.Op, Flags: wire.FlagOK, Seq: hd.Seq}, doc) //nolint:errcheck
+		h.out.batch.AppendFrame(wire.Header{Op: hd.Op, Flags: wire.FlagOK, Seq: hd.Seq}, doc) //nolint:errcheck
 
 	case wire.OpOwner:
 		if s.Cluster == nil {
-			h.queueError(hd, "server is not clustered")
+			h.out.queueError(hd, "server is not clustered")
 			return
 		}
 		addr, self := s.Cluster.OwnerOf(blockdev.FileID(hd.File))
 		doc, err := json.Marshal(ownerPayload{Owner: addr, Self: self})
 		if err != nil {
-			h.queueError(hd, "encode owner: "+err.Error())
+			h.out.queueError(hd, "encode owner: "+err.Error())
 			return
 		}
-		h.batch.AppendFrame(wire.Header{Op: hd.Op, Flags: wire.FlagOK, Seq: hd.Seq}, doc) //nolint:errcheck
+		h.out.batch.AppendFrame(wire.Header{Op: hd.Op, Flags: wire.FlagOK, Seq: hd.Seq}, doc) //nolint:errcheck
 
 	case wire.OpRead:
-		want := hd.Flags&wire.FlagWantData != 0
-		total := int64(hd.Size) * int64(s.e.BlockSize())
+		want, total := s.readShape(hd)
 		if want && (total <= 0 || total > wire.MaxDataBytes) {
-			h.queueError(hd, fmt.Sprintf("read of %d blocks exceeds the %d-byte payload cap", hd.Size, wire.MaxDataBytes))
+			h.out.queueError(hd, fmt.Sprintf("read of %d blocks exceeds the %d-byte payload cap", hd.Size, wire.MaxDataBytes))
 			return
 		}
-		var hit bool
-		var err error
-		b := (*bufs)[:0]
-		if peer {
-			// Peer-forwarded read: serve strictly locally, never
-			// re-forward (the loop-free contract of FlagPeer).
-			b, hit, err = s.e.PeerReadInto(b, blockdev.FileID(hd.File), blockdev.BlockNo(hd.Offset), hd.Size)
-		} else {
-			b, hit, err = s.e.ReadInto(b, blockdev.FileID(hd.File), blockdev.BlockNo(hd.Offset), hd.Size)
-		}
+		b, done, err := s.e.ReadCached((*bufs)[:0], blockdev.FileID(hd.File), blockdev.BlockNo(hd.Offset), hd.Size, peer)
 		*bufs = b[:0]
-		if err != nil {
-			h.queueError(hd, err.Error())
+		switch {
+		case err != nil:
+			h.out.queueError(hd, err.Error())
+		case done:
+			h.out.queueRead(hd, true, want, total, b)
+		default:
+			// A block is missing: the worker takes the resident prefix
+			// and fetches the rest.
+			j := h.takeJob()
+			j.bufs = append(j.bufs[:0], b...)
+			h.handoff(j, hd)
+		}
+
+	case wire.OpWrite:
+		j := h.takeJob()
+		j.payload, *payload = *payload, j.payload
+		h.handoff(j, hd)
+
+	case wire.OpClose:
+		f := blockdev.FileID(hd.File)
+		switch {
+		case peer:
+			s.e.PeerCloseFile(f)
+		case s.e.Owns(f):
+			s.e.CloseFile(f)
+		default:
+			h.handoff(h.takeJob(), hd)
 			return
 		}
-		flags := wire.FlagOK
-		if hit {
-			flags |= wire.FlagHit
+		h.out.batch.AppendFrame(wire.Header{Op: hd.Op, Flags: wire.FlagOK, Seq: hd.Seq}, nil) //nolint:errcheck
+
+	case wire.OpStats:
+		snap := s.e.Snapshot()
+		doc, err := json.Marshal(&snap)
+		if err != nil {
+			h.out.queueError(hd, "encode stats: "+err.Error())
+			return
 		}
-		out := wire.Header{Op: hd.Op, Flags: flags, Seq: hd.Seq}
-		if want {
-			out.PayloadLen = uint32(total)
+		h.out.batch.AppendFrame(wire.Header{Op: hd.Op, Flags: wire.FlagOK, Seq: hd.Seq}, doc) //nolint:errcheck
+
+	default:
+		// Unreachable while Known() covers every case above; kept so
+		// a future op added to wire but not here fails cleanly.
+		h.out.queueError(hd, fmt.Sprintf("unsupported op %s", hd.Op))
+	}
+}
+
+// serveBlocking runs one handed-off request on a worker, staging its
+// response into j.out.
+func (h *connHandler) serveBlocking(j *job) {
+	s := h.s
+	hd := j.hd
+	f, off := blockdev.FileID(hd.File), blockdev.BlockNo(hd.Offset)
+	peer := hd.Flags&wire.FlagPeer != 0
+	switch hd.Op {
+	case wire.OpRead:
+		want, total := s.readShape(hd)
+		b, hit, err := s.e.ReadRest(j.bufs, 0, f, off, hd.Size, peer)
+		j.bufs = b[:0]
+		if err != nil {
+			j.out.queueError(hd, err.Error())
+			return
 		}
-		h.batch.AppendHeader(out)
-		if want {
-			// Ownership of each retained buffer moves to h.release; the
-			// bytes stay pinned until the flush syscall returns.
-			for _, buf := range b {
-				h.batch.AppendPayload(buf.Bytes())
-				h.release = append(h.release, buf)
-			}
-		} else {
-			for _, buf := range b {
-				buf.Release()
-			}
-		}
+		j.out.queueRead(hd, hit, want, total, b)
 
 	case wire.OpWrite:
 		var data []byte
 		if hd.PayloadLen > 0 {
-			data = payload
+			data = j.payload
 		}
 		var werr error
 		var replicated bool
@@ -689,43 +901,25 @@ func (h *connHandler) dispatchBinary(hd wire.Header, payload []byte, bufs *[]*bl
 			// Replica install: store + cache only, no driver feed, no
 			// onward replication (the loop-free contract of R=2 — a
 			// replica push must never fan out further).
-			werr = s.e.ReplicaWrite(blockdev.FileID(hd.File), blockdev.BlockNo(hd.Offset), hd.Size, data)
+			werr = s.e.ReplicaWrite(f, off, hd.Size, data)
 		case peer:
-			replicated, werr = s.e.PeerWriteDurable(blockdev.FileID(hd.File), blockdev.BlockNo(hd.Offset), hd.Size, data)
+			replicated, werr = s.e.PeerWriteDurable(f, off, hd.Size, data)
 		default:
-			replicated, werr = s.e.WriteDurable(blockdev.FileID(hd.File), blockdev.BlockNo(hd.Offset), hd.Size, data)
+			replicated, werr = s.e.WriteDurable(f, off, hd.Size, data)
 		}
 		if werr != nil {
-			h.queueError(hd, werr.Error())
+			j.out.queueError(hd, werr.Error())
 			return
 		}
 		flags := wire.FlagOK
 		if replicated {
 			flags |= wire.FlagReplicated
 		}
-		h.batch.AppendFrame(wire.Header{Op: hd.Op, Flags: flags, Seq: hd.Seq}, nil) //nolint:errcheck
+		j.out.batch.AppendFrame(wire.Header{Op: hd.Op, Flags: flags, Seq: hd.Seq}, nil) //nolint:errcheck
 
 	case wire.OpClose:
-		if peer {
-			s.e.PeerCloseFile(blockdev.FileID(hd.File))
-		} else {
-			s.e.CloseFile(blockdev.FileID(hd.File))
-		}
-		h.batch.AppendFrame(wire.Header{Op: hd.Op, Flags: wire.FlagOK, Seq: hd.Seq}, nil) //nolint:errcheck
-
-	case wire.OpStats:
-		snap := s.e.Snapshot()
-		doc, err := json.Marshal(&snap)
-		if err != nil {
-			h.queueError(hd, "encode stats: "+err.Error())
-			return
-		}
-		h.batch.AppendFrame(wire.Header{Op: hd.Op, Flags: wire.FlagOK, Seq: hd.Seq}, doc) //nolint:errcheck
-
-	default:
-		// Unreachable while Known() covers every case above; kept so
-		// a future op added to wire but not here fails cleanly.
-		h.queueError(hd, fmt.Sprintf("unsupported op %s", hd.Op))
+		s.e.CloseFile(f)
+		j.out.batch.AppendFrame(wire.Header{Op: hd.Op, Flags: wire.FlagOK, Seq: hd.Seq}, nil) //nolint:errcheck
 	}
 }
 

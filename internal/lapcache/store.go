@@ -28,9 +28,22 @@ type BackingStore interface {
 type MemStore struct {
 	blockSize int
 	latency   time.Duration
+	stripes   [memStripes]memStripe
+}
 
+// memStripes spreads a MemStore's blocks over independently locked
+// maps, so concurrent writers of different blocks do not queue behind
+// one lock (and the readers it holds off).
+const memStripes = 16
+
+type memStripe struct {
 	mu     sync.RWMutex
 	blocks map[blockdev.BlockID][]byte
+}
+
+// stripe returns the stripe holding b.
+func (s *MemStore) stripe(b blockdev.BlockID) *memStripe {
+	return &s.stripes[(uint32(b.File)*2654435761^uint32(b.Block))%memStripes]
 }
 
 // NewMemStore returns a MemStore serving blocks of blockSize bytes,
@@ -40,11 +53,11 @@ func NewMemStore(blockSize int, latency time.Duration) *MemStore {
 	if blockSize <= 0 {
 		panic(fmt.Sprintf("lapcache: invalid block size %d", blockSize))
 	}
-	return &MemStore{
-		blockSize: blockSize,
-		latency:   latency,
-		blocks:    make(map[blockdev.BlockID][]byte),
+	s := &MemStore{blockSize: blockSize, latency: latency}
+	for i := range s.stripes {
+		s.stripes[i].blocks = make(map[blockdev.BlockID][]byte)
 	}
+	return s
 }
 
 // FillPattern writes the deterministic content of block b into buf:
@@ -65,9 +78,10 @@ func (s *MemStore) ReadBlock(b blockdev.BlockID, buf []byte) error {
 	if s.latency > 0 {
 		time.Sleep(s.latency)
 	}
-	s.mu.RLock()
-	data, ok := s.blocks[b]
-	s.mu.RUnlock()
+	st := s.stripe(b)
+	st.mu.RLock()
+	data, ok := st.blocks[b]
+	st.mu.RUnlock()
 	if ok {
 		copy(buf, data)
 		return nil
@@ -82,9 +96,10 @@ func (s *MemStore) ReadBlock(b blockdev.BlockID, buf []byte) error {
 // persisted block from a synthesized one, which is exactly the
 // blindness that would let a lost write escape the data oracle.
 func (s *MemStore) Has(b blockdev.BlockID) bool {
-	s.mu.RLock()
-	_, ok := s.blocks[b]
-	s.mu.RUnlock()
+	st := s.stripe(b)
+	st.mu.RLock()
+	_, ok := st.blocks[b]
+	st.mu.RUnlock()
 	return ok
 }
 
@@ -92,9 +107,10 @@ func (s *MemStore) Has(b blockdev.BlockID) bool {
 func (s *MemStore) WriteBlock(b blockdev.BlockID, data []byte) error {
 	cp := make([]byte, s.blockSize)
 	copy(cp, data)
-	s.mu.Lock()
-	s.blocks[b] = cp
-	s.mu.Unlock()
+	st := s.stripe(b)
+	st.mu.Lock()
+	st.blocks[b] = cp
+	st.mu.Unlock()
 	return nil
 }
 

@@ -51,8 +51,10 @@ type ServerError struct {
 func (e *ServerError) Error() string { return fmt.Sprintf("lapclient: server error: %s", e.Msg) }
 
 // DefaultWindow is the per-connection in-flight request cap when the
-// caller passes 0.
-const DefaultWindow = 32
+// caller passes 0. It equals the server's per-connection bound on
+// blocking requests, so a client within it never stalls the server's
+// read loop.
+const DefaultWindow = lapcache.MaxConnInflight
 
 // Conn is one binary-protocol connection. Unlike Client it is safe
 // for concurrent use and pipelined: up to window requests ride the
@@ -192,14 +194,14 @@ func (c *Conn) Info() PingInfo { return c.info }
 // treated as dead — it is severed, and every in-flight call fails
 // with a transport error. Zero (the default) waits forever.
 //
-// The cluster tier sets this on its peer pools. A server handler that
-// issues a nested peer RPC (forwarding a client write to the owner,
-// pushing the owner's R=2 copy to its successor) must never block
-// unboundedly: per-connection request handling is sequential, so a
-// cycle of handlers waiting on each other's pipelined connections can
-// deadlock the whole cluster when rings transiently disagree. The
-// timeout converts such a cycle into a transport error the cluster
-// already tolerates — the peer degrades and the health loop redials.
+// The cluster tier sets this on its peer pools as a guard against a
+// wedged peer: one whose store or own peer calls hang, or whose
+// connection is half open. A server runs every request that can block
+// off the connection's read loop, so server handlers waiting on each
+// other's nested peer RPCs (a forwarded write, the owner's R=2 push)
+// no longer form a cycle that only this timeout breaks. On expiry the
+// wait becomes a transport error the cluster already tolerates — the
+// peer degrades and the health loop redials.
 func (c *Conn) SetCallTimeout(d time.Duration) { c.callTimeout.Store(int64(d)) }
 
 // Close tears the connection down; in-flight calls fail.
@@ -464,8 +466,9 @@ func (c *Conn) startAsync(h wire.Header, payload []byte, deadline time.Duration,
 		return
 	}
 	c.pending[h.Seq] = call
-	c.pmu.Unlock()
-
+	// Arm the deadline before releasing pmu: a concurrent fail or
+	// response takes the call out of pending under pmu and reads
+	// call.timer.
 	if deadline > 0 {
 		call.timer = time.AfterFunc(deadline, func() {
 			if call.done.CompareAndSwap(false, true) {
@@ -473,6 +476,7 @@ func (c *Conn) startAsync(h wire.Header, payload []byte, deadline time.Duration,
 			}
 		})
 	}
+	c.pmu.Unlock()
 
 	if err := c.writeFrame(h, payload); err != nil {
 		// Undo the registration — but a concurrent fail may have swapped
